@@ -17,6 +17,8 @@
 //! requests by the connection that owns it), and precomputed wire
 //! responses bypass formatting entirely (see [`crate::state`]).
 
+use std::fmt::Write as _;
+
 /// Upper bound on the request line + headers.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// Upper bound on a request body (`POST /detect` carries a keyfile plus
@@ -319,6 +321,12 @@ pub fn percent_encode(input: &str) -> String {
 /// Escapes a string for embedding in a JSON literal.
 pub fn json_escape(input: &str) -> String {
     let mut out = String::with_capacity(input.len() + 2);
+    json_escape_into(&mut out, input);
+    out
+}
+
+/// [`json_escape`], appended to `out` instead of returned.
+pub fn json_escape_into(out: &mut String, input: &str) {
     for c in input.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -326,11 +334,12 @@ pub fn json_escape(input: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]

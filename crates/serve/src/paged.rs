@@ -25,9 +25,11 @@
 //! `qpwm_store_pool_{hits,misses,evictions,pinned}` without reaching
 //! into another shard's (single-threaded) view.
 
-use crate::http::json_escape;
+use crate::http::{json_escape, json_escape_into};
 use qpwm_store::{DiskVfs, ReadView, WalStats};
+use qpwm_structures::Element;
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -131,11 +133,11 @@ impl PagedShard {
             let label = view.label(i).map_err(stringify)?;
             let pairs = view.answer_pairs(i).map_err(stringify)?;
             let f: i64 = pairs.iter().map(|(_, w)| w).sum();
-            Ok(format!(
-                "{{\"param\":{i},\"label\":\"{}\",\"count\":{},\"f\":{f}}}\n",
-                json_escape(&label),
-                pairs.len(),
-            ))
+            let mut out = String::with_capacity(64 + label.len());
+            let _ = write!(out, "{{\"param\":{i},\"label\":\"");
+            json_escape_into(&mut out, &label);
+            let _ = writeln!(out, "\",\"count\":{},\"f\":{f}}}", pairs.len());
+            Ok(out)
         })();
         self.publish(&view);
         result
@@ -146,16 +148,19 @@ impl PagedShard {
     pub fn params_json(&self) -> Result<String, String> {
         let mut view = self.view.borrow_mut();
         let result = (|| {
-            let mut out = String::from("{\"params\":[");
             let n = view.n_params();
+            let mut out = String::with_capacity(32 + n * 24);
+            out.push_str("{\"params\":[");
             for i in 0..n {
                 if i > 0 {
                     out.push(',');
                 }
                 let label = view.label(i).map_err(stringify)?;
-                out.push_str(&format!("{{\"i\":{i},\"label\":\"{}\"}}", json_escape(&label)));
+                let _ = write!(out, "{{\"i\":{i},\"label\":\"");
+                json_escape_into(&mut out, &label);
+                out.push_str("\"}");
             }
-            out.push_str(&format!("],\"count\":{n}}}\n"));
+            let _ = writeln!(out, "],\"count\":{n}}}");
             Ok(out)
         })();
         self.publish(&view);
@@ -189,40 +194,56 @@ fn stringify(e: qpwm_store::StoreError) -> String {
     e.to_string()
 }
 
-/// Renders one `/answer` body from pinned pages. Element names come
-/// through the pool too, so a store written with names renders them
-/// exactly as the resident plane would.
+/// Renders one `/answer` body from pinned pages, straight into one
+/// buffer. Element names come through the pool too, so a store written
+/// with names renders them exactly as the resident plane would.
 fn render_answer(view: &mut ReadView, i: usize) -> Result<String, String> {
     let label = view.label(i).map_err(stringify)?;
     let pairs = view.answer_pairs(i).map_err(stringify)?;
     let named = view.has_element_names();
-    let mut out = String::with_capacity(64 + pairs.len() * 32);
-    out.push_str(&format!(
-        "{{\"param\":{i},\"label\":\"{}\",\"count\":{},\"answers\":[",
-        json_escape(&label),
-        pairs.len()
-    ));
+    let mut out = String::with_capacity(64 + label.len() + pairs.len() * 32);
+    let _ = write!(out, "{{\"param\":{i},\"label\":\"");
+    json_escape_into(&mut out, &label);
+    let _ = write!(out, "\",\"count\":{},\"answers\":[", pairs.len());
     for (n, (tuple, w)) in pairs.iter().enumerate() {
         if n > 0 {
             out.push(',');
         }
-        let ids = tuple.iter().map(|e| e.to_string()).collect::<Vec<_>>().join(",");
-        let display = if named {
-            let mut parts = Vec::with_capacity(tuple.len());
-            for &e in tuple {
-                parts.push(match view.element_name(e).map_err(stringify)? {
-                    Some(name) => name,
-                    None => e.to_string(),
-                });
+        out.push_str("{\"t\":[");
+        push_ids(&mut out, tuple);
+        out.push_str("],\"label\":\"");
+        if named {
+            // escaping each name and joining with ',' equals escaping the
+            // joined display string: the separator needs no escape
+            for (k, &e) in tuple.iter().enumerate() {
+                if k > 0 {
+                    out.push(',');
+                }
+                match view.element_name(e).map_err(stringify)? {
+                    Some(name) => json_escape_into(&mut out, &name),
+                    None => {
+                        let _ = write!(out, "{e}");
+                    }
+                }
             }
-            json_escape(&parts.join(","))
         } else {
-            json_escape(&ids)
-        };
-        out.push_str(&format!("{{\"t\":[{ids}],\"label\":\"{display}\",\"w\":{w}}}"));
+            // element ids are digits and commas: nothing to escape
+            push_ids(&mut out, tuple);
+        }
+        let _ = write!(out, "\",\"w\":{w}}}");
     }
     out.push_str("]}\n");
     Ok(out)
+}
+
+/// Appends `tuple`'s element ids, comma-separated.
+fn push_ids(out: &mut String, tuple: &[Element]) {
+    for (k, e) in tuple.iter().enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{e}");
+    }
 }
 
 /// Sums every shard's gauges for `/metrics`.

@@ -5,6 +5,7 @@
 
 use qpwm_serve::client::{http_get, http_post};
 use qpwm_serve::{PagedPlane, ServeData, Server, ServerConfig};
+use qpwm_store::paged::LABEL_STRIDE;
 use qpwm_store::{DiskVfs, Store, StoreContent, WalStats};
 use qpwm_structures::{AnswerFamily, Weights};
 
@@ -25,15 +26,41 @@ fn planes(tag: &str) -> Planes {
         vec![vec![1u32], vec![2], vec![3]],
         vec![vec![3u32]],
     ];
-    let family = AnswerFamily::from_nested(params, &sets);
+    let labels: Vec<String> = ["alpha", "beta", "gamma"].map(String::from).to_vec();
+    let names: Vec<String> = (0..4).map(|e| format!("n{e}")).collect();
+    serve_both(tag, AnswerFamily::from_nested(params, &sets), labels, names)
+}
+
+/// `3 * LABEL_STRIDE + 5` parameters, each answering two elements,
+/// with labels and names of mixed lengths — empty, multi-byte UTF-8,
+/// and characters JSON must escape — so label lookups cross string
+/// index strides and blob pages.
+fn wide_planes(tag: &str) -> Planes {
+    let n = 3 * LABEL_STRIDE + 5;
+    let params: Vec<Vec<u32>> = (0..n as u32).map(|i| vec![1000 + i]).collect();
+    let sets: Vec<Vec<Vec<u32>>> =
+        (0..n as u32).map(|i| vec![vec![i], vec![i + 1]]).collect();
+    let mixed = |tag: &str, i: usize| match i % 5 {
+        0 => String::new(),
+        1 => format!("{tag}{i}"),
+        2 => format!("{tag}-\u{e9}\u{2192}\u{1d11e}-{i}-{}", "x".repeat(i % 40)),
+        3 => format!("{tag} \"quoted\\\t{i}\""),
+        _ => format!("{tag}{}", "\u{3b1}".repeat(i % 23)),
+    };
+    let labels = (0..n).map(|i| mixed("p", i)).collect();
+    let names = (0..=n).map(|e| mixed("n", e)).collect();
+    serve_both(tag, AnswerFamily::from_nested(params, &sets), labels, names)
+}
+
+/// Serves `family` both ways: resident from memory, and paged from a
+/// store file written from the same marked weights.
+fn serve_both(tag: &str, family: AnswerFamily, labels: Vec<String>, names: Vec<String>) -> Planes {
     let mut base = Weights::new(1);
     let mut marked = Weights::new(1);
-    for e in 0..4u32 {
+    for e in 0..names.len() as u32 {
         base.set(&[e], 50 + e as i64);
         marked.set(&[e], 50 + e as i64 + if e % 2 == 0 { 1 } else { -1 });
     }
-    let labels: Vec<String> = ["alpha", "beta", "gamma"].map(String::from).to_vec();
-    let names: Vec<String> = (0..4).map(|e| format!("n{e}")).collect();
 
     let dir = std::env::temp_dir().join(format!("qpwm-paged-diff-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -99,6 +126,24 @@ fn paged_bodies_are_byte_identical_to_resident() {
     let (_, again) = http_get(&px.paged_addr, "/answer?i=1").expect("cached");
     let (_, fresh) = http_get(&px.resident_addr, "/answer?i=1").expect("resident");
     assert_eq!(again, fresh, "cache hit changed the body");
+    px.finish();
+}
+
+#[test]
+fn paged_bodies_match_resident_across_label_strides() {
+    let px = wide_planes("strides");
+    let n = 3 * LABEL_STRIDE + 5;
+    for i in [0, LABEL_STRIDE - 1, LABEL_STRIDE, n - 1] {
+        for path in [format!("/answer?i={i}"), format!("/aggregate?i={i}")] {
+            let (rs, rb) = http_get(&px.resident_addr, &path).expect("resident");
+            let (ps, pb) = http_get(&px.paged_addr, &path).expect("paged");
+            assert_eq!((rs, &rb), (ps, &pb), "{path} diverged between planes");
+            assert_eq!(rs, 200, "{path}: {rb}");
+        }
+    }
+    let (rs, rb) = http_get(&px.resident_addr, "/params").expect("resident params");
+    let (ps, pb) = http_get(&px.paged_addr, "/params").expect("paged params");
+    assert_eq!((rs, &rb), (ps, &pb), "/params diverged between planes");
     px.finish();
 }
 

@@ -22,11 +22,18 @@
 //!
 //! Labels and element names live in the immutable blob section, so the
 //! view indexes them once at open (a sparse checkpoint every
-//! [`LABEL_STRIDE`] entries, read directly from the file) and afterwards
-//! resolves any label with a short forward walk through the pool.
+//! [`LABEL_STRIDE`] = 64 entries, 0.125 B per entry, read directly from
+//! the file) and afterwards resolves any label with a short forward walk
+//! through the pool. The walk is page-local: it pins each blob page it
+//! crosses once and scans the length prefixes inside that frame's
+//! payload, carrying a prefix or string body that straddles a page
+//! boundary over to the next page. A lookup over short strings
+//! therefore touches one or two frames, not one per skipped string; a
+//! length prefix that would lead past the blob's last page is reported
+//! as corruption rather than read out of the weight section.
 
 use crate::locks::LockTable;
-use crate::page::{self, PAGE_HDR, PAGE_PAYLOAD, PAGE_SIZE};
+use crate::page::{self, kind, PAGE_HDR, PAGE_PAYLOAD, PAGE_SIZE};
 use crate::pool::{BufferPool, PoolStats};
 use crate::store::{read_meta_direct, resolve_pool_frames, wal_name, Meta, WEIGHTS_PER_PAGE};
 use crate::vfs::{Result, StoreError, Vfs, VfsFile};
@@ -37,7 +44,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 /// One label-offset checkpoint covers this many entries.
-const LABEL_STRIDE: usize = 1024;
+pub const LABEL_STRIDE: usize = 64;
 
 /// Sparse offsets into a run of length-prefixed strings: byte offset
 /// (within the blob) of every `LABEL_STRIDE`-th entry.
@@ -179,7 +186,7 @@ impl ReadView {
         self.consistent(|v| {
             let off = v.flat_bytes() + (i * pa * 4) as u64;
             let mut buf = vec![0u8; pa * 4];
-            v.read_payload(1, off, &mut buf)?;
+            v.read_blob(off, &mut buf)?;
             Ok(le_u32s(&buf))
         })
     }
@@ -213,7 +220,7 @@ impl ReadView {
         let arity = self.meta.tuple_arity as usize;
         self.consistent(|v| {
             let mut buf = vec![0u8; arity * 4];
-            v.read_payload(1, id as u64 * arity as u64 * 4, &mut buf)?;
+            v.read_blob(id as u64 * arity as u64 * 4, &mut buf)?;
             Ok(le_u32s(&buf))
         })
     }
@@ -239,7 +246,7 @@ impl ReadView {
             let mut out = Vec::with_capacity(ids.len());
             for id in ids {
                 let mut buf = vec![0u8; arity * 4];
-                v.read_payload(1, id as u64 * arity as u64 * 4, &mut buf)?;
+                v.read_blob(id as u64 * arity as u64 * 4, &mut buf)?;
                 let (b, d) = v.weight_entry_inner(id)?;
                 out.push((le_u32s(&buf), b + d));
             }
@@ -321,17 +328,39 @@ impl ReadView {
         }
     }
 
+    /// Copies `out.len()` bytes starting at blob byte `off`.
+    fn read_blob(&mut self, off: u64, out: &mut [u8]) -> Result<()> {
+        self.read_section(1, self.meta.weight_first(), "blob", off, out)
+    }
+
+    /// Copies `out.len()` bytes starting at answer-stream byte `off`.
+    fn read_answers(&mut self, off: u64, out: &mut [u8]) -> Result<()> {
+        let first = self.meta.answer_first();
+        self.read_section(first, self.meta.total_pages(), "answer", off, out)
+    }
+
     /// Copies `out.len()` bytes starting at logical payload byte
-    /// `byte_off` of the section beginning at `first_page`, each touched
-    /// page read through the pool under its shared lock.
-    fn read_payload(&mut self, first_page: u32, byte_off: u64, out: &mut [u8]) -> Result<()> {
+    /// `byte_off` of the section spanning pages `first_page..end_page`,
+    /// each touched page read through the pool under its shared lock.
+    fn read_section(
+        &mut self,
+        first_page: u32,
+        end_page: u32,
+        section: &str,
+        byte_off: u64,
+        out: &mut [u8],
+    ) -> Result<()> {
+        let kind = self.meta.kind_of(first_page);
         let mut copied = 0usize;
         while copied < out.len() {
-            let logical = byte_off as usize + copied;
-            let page_no = first_page + (logical / PAGE_PAYLOAD) as u32;
-            let off = logical % PAGE_PAYLOAD;
+            let logical = byte_off + copied as u64;
+            let page_no = first_page as u64 + logical / PAGE_PAYLOAD as u64;
+            if page_no >= end_page as u64 {
+                return Err(StoreError::Corrupt(format!("{section} overrun")));
+            }
+            let page_no = page_no as u32;
+            let off = (logical % PAGE_PAYLOAD as u64) as usize;
             let take = (PAGE_PAYLOAD - off).min(out.len() - copied);
-            let kind = self.meta.kind_of(page_no);
             let _s = self.locks.as_ref().map(|l| l.lock_shared(page_no));
             let bytes = self.pool.page(self.file.as_mut(), page_no, Some(kind))?;
             out[copied..copied + take]
@@ -342,9 +371,8 @@ impl ReadView {
     }
 
     fn active_ids_inner(&mut self, i: usize) -> Result<Vec<u32>> {
-        let first = self.meta.answer_first();
         let mut two = [0u8; 8];
-        self.read_payload(first, i as u64 * 4, &mut two)?;
+        self.read_answers(i as u64 * 4, &mut two)?;
         let lo = u32::from_le_bytes(two[0..4].try_into().expect("4")) as usize;
         let hi = u32::from_le_bytes(two[4..8].try_into().expect("4")) as usize;
         if lo > hi || hi > self.meta.n_ids as usize {
@@ -352,7 +380,7 @@ impl ReadView {
         }
         let ids_base = (self.meta.n_params as u64 + 1) * 4;
         let mut buf = vec![0u8; (hi - lo) * 4];
-        self.read_payload(first, ids_base + lo as u64 * 4, &mut buf)?;
+        self.read_answers(ids_base + lo as u64 * 4, &mut buf)?;
         Ok(le_u32s(&buf))
     }
 
@@ -368,26 +396,66 @@ impl ReadView {
     }
 
     /// Skips `skip` length-prefixed strings starting at blob byte
-    /// `start`, then reads and returns the next one.
+    /// `start`, then reads and returns the next one. Each blob page the
+    /// walk crosses is pinned once and its length prefixes are scanned
+    /// in the frame; a prefix or the returned string's body that
+    /// straddles a page boundary is carried over to the next page, and
+    /// pages holding only skipped bytes are never read.
     fn walk_strings(&mut self, start: u64, skip: usize) -> Result<String> {
         let mut off = start;
-        for _ in 0..skip {
-            off += 4 + self.string_len_at(off)? as u64;
+        let mut left = skip;
+        let mut prefix = [0u8; 4];
+        let mut have = 0usize; // prefix bytes gathered so far
+        let mut target: Option<(usize, Vec<u8>)> = None; // (length, body so far)
+        let blob_end = self.meta.blob_len.min(self.meta.blob_pages as u64 * PAGE_PAYLOAD as u64);
+        loop {
+            if off >= blob_end {
+                return Err(StoreError::Corrupt("blob overrun".into()));
+            }
+            let page_no = 1 + (off / PAGE_PAYLOAD as u64) as u32;
+            let page_start = off - off % PAGE_PAYLOAD as u64;
+            let mut pos = (off % PAGE_PAYLOAD as u64) as usize;
+            let _s = self.locks.as_ref().map(|l| l.lock_shared(page_no));
+            let bytes = self.pool.page(self.file.as_mut(), page_no, Some(kind::BLOB))?;
+            let payload = &bytes[PAGE_HDR..PAGE_HDR + PAGE_PAYLOAD];
+            while pos < PAGE_PAYLOAD {
+                if target.is_none() {
+                    let take = (4 - have).min(PAGE_PAYLOAD - pos);
+                    prefix[have..have + take].copy_from_slice(&payload[pos..pos + take]);
+                    have += take;
+                    pos += take;
+                    if have < 4 {
+                        break;
+                    }
+                    have = 0;
+                    let len = u32::from_le_bytes(prefix) as usize;
+                    if len > 1 << 24 {
+                        return Err(StoreError::Corrupt(format!(
+                            "implausible string length {len}"
+                        )));
+                    }
+                    if page_start + (pos + len) as u64 > blob_end {
+                        return Err(StoreError::Corrupt("blob overrun".into()));
+                    }
+                    if left > 0 {
+                        left -= 1;
+                        pos += len;
+                        continue;
+                    }
+                    target = Some((len, Vec::with_capacity(len)));
+                }
+                let (len, raw) = target.as_mut().expect("target set above");
+                let take = (*len - raw.len()).min(PAGE_PAYLOAD - pos);
+                raw.extend_from_slice(&payload[pos..pos + take]);
+                pos += take;
+                if raw.len() == *len {
+                    let raw = std::mem::take(raw);
+                    return String::from_utf8(raw)
+                        .map_err(|_| StoreError::Corrupt("non-UTF-8 string".into()));
+                }
+            }
+            off = page_start + pos as u64;
         }
-        let len = self.string_len_at(off)?;
-        let mut raw = vec![0u8; len];
-        self.read_payload(1, off + 4, &mut raw)?;
-        String::from_utf8(raw).map_err(|_| StoreError::Corrupt("non-UTF-8 string".into()))
-    }
-
-    fn string_len_at(&mut self, off: u64) -> Result<usize> {
-        let mut four = [0u8; 4];
-        self.read_payload(1, off, &mut four)?;
-        let len = u32::from_le_bytes(four) as usize;
-        if len > 1 << 24 {
-            return Err(StoreError::Corrupt(format!("implausible string length {len}")));
-        }
-        Ok(len)
     }
 
     /// One sequential pass over the blob's string region (immutable after
@@ -647,6 +715,156 @@ mod tests {
         drop(Store::open(&vfs, "db").expect("recover"));
         let mut v = ReadView::open(&vfs, "db", tiny_pool()).expect("view");
         assert_eq!(v.weight_entry(0).expect("w"), (100, -1));
+    }
+
+    /// Overwrites blob bytes at `off` on the file and re-seals every
+    /// touched page, so the checksum passes and only the content lies.
+    fn patch_blob(vfs: &SimVfs, off: u64, patch: &[u8]) {
+        let mut file = vfs.open("db", false).expect("reopen");
+        for (k, &b) in patch.iter().enumerate() {
+            let at = off as usize + k;
+            let page_at = (1 + at / PAGE_PAYLOAD) as u64 * PAGE_SIZE as u64;
+            let mut page = vec![0u8; PAGE_SIZE];
+            file.read_at(&mut page, page_at).expect("read page");
+            page[PAGE_HDR + at % PAGE_PAYLOAD] = b;
+            let lsn = u64::from_le_bytes(page[4..12].try_into().expect("8"));
+            page::seal(&mut page, lsn, kind::BLOB);
+            file.write_at(&page, page_at).expect("write page");
+        }
+    }
+
+    /// Blob byte offset of string `k` in a run of length-prefixed
+    /// strings starting at `start`.
+    fn string_offset(strings: &[String], start: u64, k: usize) -> u64 {
+        start + strings[..k].iter().map(|s| 4 + s.len() as u64).sum::<u64>()
+    }
+
+    fn assert_overrun<T: std::fmt::Debug>(got: Result<T>, what: &str) {
+        match got {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("blob overrun"), "{what}: {msg}"),
+            other => panic!("{what}: expected a blob overrun, got {other:?}"),
+        }
+    }
+
+    /// A re-sealed blob page whose length prefix points past the blob:
+    /// the string would otherwise be read out of the weight section and
+    /// decoded as a label (those bytes are valid ASCII), so both the
+    /// returned string and a string walked over must fail as `Corrupt`.
+    #[test]
+    fn hostile_length_prefix_is_a_blob_overrun_not_a_weight_read() {
+        let vfs = SimVfs::new();
+        let c = content(600);
+        drop(Store::create(&vfs, "db", &c).expect("create"));
+        let mut v = ReadView::open(&vfs, "db", tiny_pool()).expect("view");
+        let blob_end = v.meta.blob_len;
+        let labels_start = v.flat_bytes() + c.parameters.len() as u64 * 4;
+        let names_start = string_offset(&c.param_labels, labels_start, c.param_labels.len()) + 4;
+
+        // label 5 claims a body running 100 bytes into the weight pages
+        let at = string_offset(&c.param_labels, labels_start, 5);
+        let len = (blob_end - at - 4 + 100) as u32;
+        patch_blob(&vfs, at, &len.to_le_bytes());
+        assert_overrun(v.label(5), "reading label 5");
+        assert_overrun(v.label(6), "walking over label 5");
+        assert_eq!(v.label(4).expect("earlier label"), "p4");
+
+        // name 9 claims a body far past the blob, under the 2^24 bound
+        let at = string_offset(&c.element_names, names_start, 9);
+        patch_blob(&vfs, at, &(1u32 << 20).to_le_bytes());
+        assert_overrun(v.element_name(9), "reading name 9");
+        assert_overrun(v.element_name(10), "walking over name 9");
+        assert_eq!(v.element_name(8).expect("earlier name"), Some("n8".into()));
+    }
+
+    /// `count` strings of mixed byte lengths (empty, ASCII, and 2-, 3-
+    /// and 4-byte UTF-8 characters) for a run starting at blob byte
+    /// `start`. The first string that would end near a page boundary is
+    /// padded so that the next string's 4-byte length prefix straddles
+    /// it; returns the strings and how many prefixes straddle.
+    fn mixed_strings(tag: char, count: usize, start: u64) -> (Vec<String>, usize) {
+        const CHARS: [char; 4] = ['\u{e9}', '\u{2192}', '\u{1d11e}', 'x'];
+        let mut out = Vec::with_capacity(count);
+        let mut off = start;
+        let mut straddles = 0;
+        for i in 0..count {
+            let mut s = String::new();
+            if i % 17 != 3 {
+                s = format!("{tag}{i}-");
+                for k in 0..(i * 7) % 23 {
+                    s.push(CHARS[(i + k) % CHARS.len()]);
+                }
+            }
+            let boundary = (off / PAGE_PAYLOAD as u64 + 1) * PAGE_PAYLOAD as u64;
+            let next = off + 4 + s.len() as u64;
+            if straddles == 0 && next + 4 > boundary && boundary >= off + 6 {
+                s = "x".repeat((boundary - 2 - off - 4) as usize);
+            }
+            off += 4 + s.len() as u64;
+            let in_page = off as usize % PAGE_PAYLOAD;
+            if i + 1 < count && in_page + 4 > PAGE_PAYLOAD {
+                straddles += 1;
+            }
+            out.push(s);
+        }
+        (out, straddles)
+    }
+
+    /// Every label and name across several strides and page boundaries
+    /// — including length prefixes split over two pages and multi-byte
+    /// characters — reads back exactly through a 4-frame pool.
+    #[test]
+    fn labels_and_names_survive_stride_and_page_boundaries() {
+        let n_params = 3 * LABEL_STRIDE + 5;
+        let mut c = content(n_params);
+        let labels_start = (c.flat.len() + c.parameters.len()) as u64 * 4;
+        let (labels, label_straddles) = mixed_strings('p', n_params, labels_start);
+        let names_start = string_offset(&labels, labels_start, n_params) + 4;
+        let (names, name_straddles) = mixed_strings('n', c.flat.len(), names_start);
+        assert!(label_straddles > 0 && name_straddles > 0, "fixture must split a prefix");
+        let multi_byte = names.iter().any(|s| s.len() > s.chars().count());
+        assert!(multi_byte, "fixture needs multi-byte names");
+        c.param_labels = labels;
+        c.element_names = names;
+
+        let vfs = SimVfs::new();
+        drop(Store::create(&vfs, "db", &c).expect("create"));
+        let mut v = ReadView::open(&vfs, "db", tiny_pool()).expect("view");
+        for (i, want) in c.param_labels.iter().enumerate() {
+            assert_eq!(&v.label(i).expect("label"), want, "label {i}");
+        }
+        for (e, want) in c.element_names.iter().enumerate() {
+            assert_eq!(v.element_name(e as u32).expect("name").as_ref(), Some(want), "name {e}");
+        }
+        assert_eq!(v.query_name(), "q");
+    }
+
+    /// A lookup pins each page it crosses once: with strings of at most
+    /// 16 bytes a stride's walk spans at most two pages, so one `label`
+    /// or `element_name` call costs at most two pool probes. A walk that
+    /// probed the pool per skipped string would cost up to a stride's
+    /// worth here.
+    #[test]
+    fn one_lookup_touches_at_most_two_frames() {
+        let n_params = 3 * LABEL_STRIDE + 5;
+        let c = content(n_params);
+        assert!(c.param_labels.iter().chain(&c.element_names).all(|s| s.len() <= 16));
+        let vfs = SimVfs::new();
+        drop(Store::create(&vfs, "db", &c).expect("create"));
+        let mut v = ReadView::open(&vfs, "db", tiny_pool()).expect("view");
+        let probes = |v: &ReadView| {
+            let s = v.pool_stats();
+            s.hits + s.misses
+        };
+        for i in 0..n_params {
+            let before = probes(&v);
+            v.label(i).expect("label");
+            assert!(probes(&v) - before <= 2, "label {i} took {} probes", probes(&v) - before);
+        }
+        for e in 0..c.element_names.len() as u32 {
+            let before = probes(&v);
+            v.element_name(e).expect("name");
+            assert!(probes(&v) - before <= 2, "name {e} took {} probes", probes(&v) - before);
+        }
     }
 
     /// Reader threads scan while the writer re-marks and checkpoints:
